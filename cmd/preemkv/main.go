@@ -65,7 +65,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/brownout"
 	"repro/internal/liveserver"
 	"repro/internal/shard"
 	"repro/internal/tailclient"
@@ -214,11 +213,15 @@ func serve(addr string, cfg liveserver.Config, drain time.Duration, metricsAddr 
 	st := s.PoolStats()
 	fmt.Printf("served: %d requests, %d preemptions, %d shed, %d degraded-runs, p99 %v\n",
 		st.Completed, st.Preemptions, st.Shed, st.DegradedRuns, st.P99)
-	ov := s.Overload
+	m := s.MetricsV2()
+	var shedReqs, brownoutRejects, timeouts uint64
+	for _, cs := range m.Totals {
+		shedReqs += cs.RejectedNormal + cs.RejectedShed
+		brownoutRejects += cs.RejectedBrownout
+		timeouts += cs.Timeouts
+	}
 	fmt.Printf("overload: %d conns shed, %d requests shed, %d brownout-rejected, %d timeouts, %d over-long lines; timer restarts %d\n",
-		ov.ShedConns, ov.ShedRequests, ov.BrownoutRejects, ov.Timeouts, ov.LineTooLong, rt.TimerRestarts())
-	fmt.Printf("cancelled on disconnect: %d queued (evicted), %d executing (unwound at safepoint)\n",
-		ov.CancelledQueued, ov.CancelledExecuting)
+		m.ShedConns, shedReqs, brownoutRejects, timeouts, m.LineTooLong, rt.TimerRestarts())
 	fmt.Printf("brownout: %d transitions, final state %v, smoothed load %.3f\n",
 		s.Brownout().Transitions(), s.BrownoutState(), s.Brownout().Load())
 	now := time.Now()
@@ -235,16 +238,21 @@ func serve(addr string, cfg liveserver.Config, drain time.Duration, metricsAddr 
 		}
 	}
 	for c := 0; c < preemptible.NumClasses; c++ {
-		pc := ov.PerClass[c]
+		class := preemptible.Class(c)
+		pc := m.Totals[class.String()]
 		fmt.Printf("  %v: %d requests, rejected %d normal / %d brownout / %d shed / %d unavailable, %d evicted, %d timeouts, %d failed\n",
-			preemptible.Class(c), pc.Requests,
-			pc.Rejected[brownout.Normal], pc.Rejected[brownout.Brownout], pc.Rejected[brownout.Shed],
+			class, pc.Requests, pc.RejectedNormal, pc.RejectedBrownout, pc.RejectedShed,
 			pc.Unavailable, pc.Evicted, pc.Timeouts, pc.Failed)
 	}
+	var cancelledQueued, cancelledExecuting uint64
 	g := s.Group()
 	for i := 0; i < g.N(); i++ {
 		sh := g.Shard(i)
 		cs := sh.Counters()
+		for _, c := range cs {
+			cancelledQueued += c.CancelledQueued
+			cancelledExecuting += c.CancelledExecuting
+		}
 		lc, be := cs[preemptible.ClassLC], cs[preemptible.ClassBE]
 		fmt.Printf("shard %d: %s, gen %d, %d restarts, %d LC + %d BE requests, %d unavailable, brownout %v\n",
 			i, sh.Health(), sh.Generation(), g.Restarts(i),
@@ -256,6 +264,8 @@ func serve(addr string, cfg liveserver.Config, drain time.Duration, metricsAddr 
 				wst.Recovery.Round(time.Millisecond))
 		}
 	}
+	fmt.Printf("cancelled on disconnect: %d queued (evicted), %d executing (unwound at safepoint)\n",
+		cancelledQueued, cancelledExecuting)
 }
 
 // parseMix parses an "lc:be" ratio like "3:1".

@@ -9,6 +9,7 @@ package liveserver
 // exits cleanly without flapping.
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -165,11 +166,9 @@ func TestBrownoutRegressionMatrix(t *testing.T) {
 	// --- Matrix row 2: LC was protected. No LC request was rejected
 	// while the server was merely browned out, and no LC client ever saw
 	// the BE-only "ERR brownout" line.
-	s.statMu.Lock()
-	lc := s.Overload.PerClass[preemptible.ClassLC]
-	be := s.Overload.PerClass[preemptible.ClassBE]
-	s.statMu.Unlock()
-	if got := lc.Rejected[brownout.Brownout]; got != 0 {
+	m := s.MetricsV2()
+	lc, be := m.Totals["lc"], m.Totals["be"]
+	if got := lc.RejectedBrownout; got != 0 {
 		t.Errorf("%d LC requests rejected during BROWNOUT, want 0", got)
 	}
 	lcMu.Lock()
@@ -180,7 +179,7 @@ func TestBrownoutRegressionMatrix(t *testing.T) {
 
 	// --- Matrix row 3: BE actually took the hit — fast-rejected with
 	// "ERR brownout" at the door and evicted from the queue.
-	if be.Rejected[brownout.Brownout] == 0 {
+	if be.RejectedBrownout == 0 {
 		t.Error("no BE request was fast-rejected during BROWNOUT")
 	}
 	if be.Evicted == 0 {
@@ -272,16 +271,14 @@ func TestBrownoutShedEscalation(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	s.statMu.Lock()
-	lc := s.Overload.PerClass[preemptible.ClassLC]
-	shedRejects := s.Overload.ShedRequests
-	brownoutRejects := s.Overload.BrownoutRejects
-	s.statMu.Unlock()
-	if lc.Rejected[brownout.Shed] == 0 {
+	lc := s.MetricsV2().Totals["lc"]
+	shedRejects := totalsSum(s, func(c ClassSeries) uint64 { return c.RejectedNormal + c.RejectedShed })
+	brownoutRejects := totalsSum(s, func(c ClassSeries) uint64 { return c.RejectedBrownout })
+	if lc.RejectedShed == 0 {
 		t.Error("no LC rejection recorded against SHED")
 	}
-	if lc.Rejected[brownout.Brownout] != 0 {
-		t.Errorf("%d LC rejections recorded against BROWNOUT, want 0", lc.Rejected[brownout.Brownout])
+	if lc.RejectedBrownout != 0 {
+		t.Errorf("%d LC rejections recorded against BROWNOUT, want 0", lc.RejectedBrownout)
 	}
 	if brownoutRejects == 0 || shedRejects == 0 {
 		t.Errorf("expected both reject kinds on the way up: brownout=%d overloaded=%d",
@@ -304,6 +301,7 @@ func TestBrownoutStatsCommand(t *testing.T) {
 	if got := c.roundTrip(t, "PING"); got != "PONG" {
 		t.Fatalf("PING → %q", got)
 	}
+	before := s.MetricsV2()
 	got := c.roundTrip(t, "STATS")
 	if !strings.HasPrefix(got, "STATS state=normal load=") {
 		t.Fatalf("STATS → %q, want a normal-state stats line", got)
@@ -314,11 +312,18 @@ func TestBrownoutStatsCommand(t *testing.T) {
 	if !strings.Contains(got, "be.requests=0 ") {
 		t.Fatalf("STATS after one PING counts BE requests: %q", got)
 	}
-	s.statMu.Lock()
-	n := s.Requests.Stats
-	s.statMu.Unlock()
-	if n != 1 {
-		t.Fatalf("Requests.Stats = %d, want 1", n)
+	// STATS is answered inline, off the pools: it changes no shard or
+	// pool counter.
+	after := s.MetricsV2()
+	if !reflect.DeepEqual(after.Totals, before.Totals) || after.Pool != before.Pool {
+		t.Fatalf("STATS moved the counters:\nbefore %+v %+v\nafter  %+v %+v",
+			before.Totals, before.Pool, after.Totals, after.Pool)
+	}
+	for i := range after.PerShard {
+		a, b := after.PerShard[i], before.PerShard[i]
+		if !reflect.DeepEqual(a.Classes, b.Classes) || a.Pool != b.Pool {
+			t.Fatalf("STATS moved shard %d's counters:\nbefore %+v\nafter  %+v", i, b, a)
+		}
 	}
 }
 
@@ -350,10 +355,8 @@ func TestBrownoutDisabledRecoversLegacyShedding(t *testing.T) {
 	if st := s.BrownoutState(); st != brownout.Normal {
 		t.Fatalf("disabled controller reports %v", st)
 	}
-	s.statMu.Lock()
-	rej := s.Overload.PerClass[preemptible.ClassLC].Rejected
-	s.statMu.Unlock()
-	if rej[brownout.Normal] != 1 {
-		t.Fatalf("cap rejection not attributed to Normal: %v", rej)
+	lc := s.MetricsV2().Totals["lc"]
+	if lc.RejectedNormal != 1 {
+		t.Fatalf("cap rejection not attributed to Normal: %+v", lc)
 	}
 }

@@ -23,12 +23,16 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	t.Fatalf("timed out waiting for %s", msg)
 }
 
-// cancelCounts reads the disconnect-cancellation counters under the
-// stats lock (the public fields are written under statMu).
+// cancelCounts sums the disconnect-cancellation counters over every
+// shard and class.
 func (s *Server) cancelCounts() (queued, executing uint64) {
-	s.statMu.Lock()
-	defer s.statMu.Unlock()
-	return s.Overload.CancelledQueued, s.Overload.CancelledExecuting
+	for i := 0; i < s.group.N(); i++ {
+		for _, c := range s.group.Shard(i).Counters() {
+			queued += c.CancelledQueued
+			executing += c.CancelledExecuting
+		}
+	}
+	return queued, executing
 }
 
 func TestDisconnectCancelsExecuting(t *testing.T) {

@@ -73,9 +73,7 @@ func TestDoomedWorkShedAtDequeue(t *testing.T) {
 	}
 	// ≥95% shed at dequeue is the acceptance floor; with deadlines
 	// already past at submit it is exact.
-	s.statMu.Lock()
-	lc := s.Overload.PerClass[preemptible.ClassLC]
-	s.statMu.Unlock()
+	lc := s.MetricsV2().Totals["lc"]
 	if lc.ExpiredQueued != doomed {
 		t.Fatalf("ExpiredQueued=%d, want %d (≥95%% floor is %d)", lc.ExpiredQueued, doomed, doomed*95/100)
 	}
@@ -108,9 +106,7 @@ func TestDeadlineExpiresMidExecution(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("expiry unwind took %v — doomed work ran to completion?", elapsed)
 	}
-	s.statMu.Lock()
-	be := s.Overload.PerClass[preemptible.ClassBE]
-	s.statMu.Unlock()
+	be := s.MetricsV2().Totals["be"]
 	if be.ExpiredExecuting != 1 {
 		t.Fatalf("ExpiredExecuting=%d, want 1", be.ExpiredExecuting)
 	}

@@ -210,10 +210,8 @@ func TestFaultContainmentRegressionMatrix(t *testing.T) {
 	if be.Trips() == 0 {
 		t.Error("BE breaker never tripped during the panic storm")
 	}
-	s.statMu.Lock()
-	lcOv := s.Overload.PerClass[preemptible.ClassLC]
-	beOv := s.Overload.PerClass[preemptible.ClassBE]
-	s.statMu.Unlock()
+	m := s.MetricsV2()
+	lcOv, beOv := m.Totals["lc"], m.Totals["be"]
 	if beOv.Unavailable == 0 {
 		t.Error("no BE request was fast-rejected by the tripped breaker")
 	}

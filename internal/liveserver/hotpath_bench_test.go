@@ -1,6 +1,8 @@
 package liveserver
 
 import (
+	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"repro/preemptible"
@@ -18,14 +20,14 @@ import (
 // per-token slices; the encode path pays fmt/json. Keep the pair in
 // sync with perfval's hot-path probes.
 
-func newBenchServer(b *testing.B) *Server {
+func newBenchServer(b *testing.B, shards int) *Server {
 	b.Helper()
 	rt, err := preemptible.New(preemptible.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(rt.Close)
-	s := New(rt, Config{Shards: 1})
+	s := New(rt, Config{Shards: shards})
 	b.Cleanup(s.Close)
 	return s
 }
@@ -40,7 +42,7 @@ func BenchmarkHotPathParseLine(b *testing.B) {
 }
 
 func BenchmarkHotPathGET(b *testing.B) {
-	s := newBenchServer(b)
+	s := newBenchServer(b, 1)
 	if resp := s.HandleLine("SET bench-key bench-value"); resp != "OK" {
 		b.Fatalf("seed SET: %q", resp)
 	}
@@ -53,8 +55,40 @@ func BenchmarkHotPathGET(b *testing.B) {
 	}
 }
 
+// BenchmarkHotPathGETParallel runs GETs from every P at once over 4
+// shards, each goroutine cycling through distinct keys from its own
+// offset: the request path must hold no lock shared across shards, so
+// ns/op should not grow with parallelism.
+func BenchmarkHotPathGETParallel(b *testing.B) {
+	s := newBenchServer(b, 4)
+	const nkeys = 64
+	lines := make([]string, nkeys)
+	want := make([]string, nkeys)
+	for i := range lines {
+		key := "bench-key-" + strconv.Itoa(i)
+		if resp := s.HandleLine("SET " + key + " v" + key); resp != "OK" {
+			b.Fatalf("seed SET: %q", resp)
+		}
+		lines[i], want[i] = "GET "+key, "VALUE v"+key
+	}
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(next.Add(1)) * 7
+		for pb.Next() {
+			k := i % nkeys
+			if resp := s.HandleLine(lines[k]); resp != want[k] {
+				b.Errorf("GET: %q", resp)
+				return
+			}
+			i++
+		}
+	})
+}
+
 func BenchmarkHotPathSET(b *testing.B) {
-	s := newBenchServer(b)
+	s := newBenchServer(b, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -65,7 +99,7 @@ func BenchmarkHotPathSET(b *testing.B) {
 }
 
 func BenchmarkHotPathStatsV2Encode(b *testing.B) {
-	s := newBenchServer(b)
+	s := newBenchServer(b, 1)
 	s.HandleLine("SET bench-key bench-value")
 	s.HandleLine("GET bench-key")
 	b.ReportAllocs()
@@ -78,7 +112,7 @@ func BenchmarkHotPathStatsV2Encode(b *testing.B) {
 }
 
 func BenchmarkHotPathStatsV1Encode(b *testing.B) {
-	s := newBenchServer(b)
+	s := newBenchServer(b, 1)
 	s.HandleLine("SET bench-key bench-value")
 	b.ReportAllocs()
 	b.ResetTimer()

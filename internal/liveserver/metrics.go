@@ -1,12 +1,17 @@
 // STATS v2 — the server's structured metrics plane.
 //
-// The original STATS command renders a flat, human-greppable key=value
-// line whose fields accreted PR by PR. STATS v2 is the machine
-// counterpart: one schema-versioned JSON document carrying the same
-// series — per-class admission counters, latency quantiles, and pool
-// scheduling counters — both as group totals and per shard, so a
-// dashboard (or the perf-validation harness in internal/perfval) can
+// One schema-versioned JSON document carries every series the server
+// exports — per-class admission counters, latency quantiles, pool
+// scheduling and WAL counters — both as group totals and per shard, so
+// a dashboard (or the perf-validation harness in internal/perfval) can
 // watch a live soak and gate on exactly the numbers the server exports.
+//
+// There is one counter plane. Every admission counter has a single
+// source, the shard's shard.ClassCounters; the server keeps no copy.
+// The group totals are derived from the shard counters here, and the
+// flat key=value STATS (v1) line is rendered from this document. The
+// only counters the server keeps itself are the four connection-plane
+// ones that fire before any shard is chosen.
 //
 // The same document is reachable two ways:
 //
@@ -16,8 +21,8 @@
 //     preemkv's -metrics flag, for curl/Prometheus-style scraping.
 //
 // Invariant: every counter in Totals equals the sum of that counter
-// over PerShard, exactly — both views are computed from one pass over
-// the same shard snapshots, and shard counters survive restarts. The
+// over PerShard, exactly — Totals is computed from the same per-shard
+// snapshots the blocks show, and shard counters survive restarts. The
 // latency quantiles in Totals come from a true histogram merge across
 // shards (stats.Histogram.Merge), not a max.
 package liveserver
@@ -47,8 +52,9 @@ const MetricsSchemaVersion = 3
 const statsV2Prefix = "STATS2 "
 
 // ClassSeries is one service class's metric series: the admission
-// counters (mirroring shard.ClassCounters field for field) plus the
-// class's completed-request latency quantiles in microseconds.
+// counters, converted from shard.ClassCounters (Cancelled sums its two
+// cancel stages), plus the class's completed-request latency quantiles
+// in microseconds.
 type ClassSeries struct {
 	Requests         uint64 `json:"requests"`
 	Completed        uint64 `json:"completed"`
@@ -89,6 +95,12 @@ func (s *ClassSeries) add(o ClassSeries) {
 	s.ExpiredExecuting += o.ExpiredExecuting
 	s.Cancelled += o.Cancelled
 	s.Reattempts += o.Reattempts
+}
+
+// rejected sums the fast-rejects over the brownout states that issued
+// them.
+func (s ClassSeries) rejected() uint64 {
+	return s.RejectedNormal + s.RejectedBrownout + s.RejectedShed
 }
 
 // PoolSeries is the scheduling-plane slice of the document: the
@@ -186,7 +198,7 @@ func classSeries(c shard.ClassCounters, lat stats.Snapshot) ClassSeries {
 		Unavailable:      c.Unavailable,
 		ExpiredQueued:    c.ExpiredQueued,
 		ExpiredExecuting: c.ExpiredExecuting,
-		Cancelled:        c.Cancelled,
+		Cancelled:        c.CancelledQueued + c.CancelledExecuting,
 		Reattempts:       c.Reattempts,
 		LatencyCount:     lat.Count,
 		P50Micros:        lat.Median,
@@ -208,29 +220,29 @@ func poolSeries(st preemptible.PoolStats) PoolSeries {
 }
 
 // MetricsV2 snapshots the full STATS v2 document. Totals are computed
-// in the same pass as the per-shard blocks, so "every total equals the
-// sum over shards" holds exactly in any single returned document.
+// from the same per-shard snapshots as the per-shard blocks, so "every
+// total equals the sum over shards" holds exactly in any single
+// returned document, latency counts included.
 func (s *Server) MetricsV2() MetricsV2 {
 	g := s.group
 	m := MetricsV2{
-		Schema:   MetricsSchemaVersion,
-		State:    s.BrownoutState().String(),
-		Shards:   g.N(),
-		Totals:   make(map[string]ClassSeries, preemptible.NumClasses),
-		PerShard: make([]ShardSeries, 0, g.N()),
+		Schema:        MetricsSchemaVersion,
+		State:         s.BrownoutState().String(),
+		Shards:        g.N(),
+		ShedConns:     s.shedConns.Load(),
+		LineTooLong:   s.lineTooLong.Load(),
+		IdleClosed:    s.idleClosed.Load(),
+		WriteTimeouts: s.writeTimeouts.Load(),
+		Totals:        make(map[string]ClassSeries, preemptible.NumClasses),
+		PerShard:      make([]ShardSeries, 0, g.N()),
 	}
-	s.statMu.Lock()
-	m.ShedConns = s.Overload.ShedConns
-	m.LineTooLong = s.Overload.LineTooLong
-	m.IdleClosed = s.Overload.IdleClosed
-	m.WriteTimeouts = s.Overload.WriteTimeouts
-	s.statMu.Unlock()
 
 	merged := [preemptible.NumClasses]*stats.Histogram{}
 	totals := [preemptible.NumClasses]ClassSeries{}
 	for c := range merged {
 		merged[c] = stats.NewHistogram()
 	}
+	lat := stats.NewHistogram() // one shard's class histogram, copied once
 	for i := 0; i < g.N(); i++ {
 		sh := g.Shard(i)
 		if l := sh.Brownout().Load(); l > m.Load {
@@ -255,11 +267,16 @@ func (s *Server) MetricsV2() MetricsV2 {
 			},
 		}
 		for c := 0; c < preemptible.NumClasses; c++ {
+			// One copy of the shard's histogram feeds both its block and
+			// the totals, so a completion landing mid-snapshot reaches
+			// both or neither.
 			class := preemptible.Class(c)
-			series := classSeries(cs[c], sh.LatencySnapshot(class))
+			lat.Reset()
+			sh.MergeLatency(class, lat)
+			series := classSeries(cs[c], lat.Snapshot())
 			block.Classes[class.String()] = series
 			totals[c].add(series)
-			sh.MergeLatency(class, merged[c])
+			merged[c].Merge(lat)
 		}
 		m.Pool.add(block.Pool)
 		m.WAL.add(block.WAL)

@@ -3,6 +3,7 @@ package liveserver
 import (
 	"bufio"
 	"flag"
+	"fmt"
 	"net"
 	"net/http/httptest"
 	"os"
@@ -144,13 +145,55 @@ func stripQuantiles(cs ClassSeries) ClassSeries {
 	return cs
 }
 
+// totalsMismatch describes how a document's totals differ from the sum
+// over its per-shard blocks — every additive counter, latency count
+// included — or returns "" when they agree.
+func totalsMismatch(doc MetricsV2) string {
+	sums, poolSum, walSum := sumShardSeries(doc)
+	for class, total := range doc.Totals {
+		if got, want := stripQuantiles(total), stripQuantiles(sums[class]); !reflect.DeepEqual(got, want) {
+			return fmt.Sprintf("totals.%s != Σ shards:\n got %+v\nwant %+v", class, got, want)
+		}
+	}
+	if doc.Pool != poolSum {
+		return fmt.Sprintf("pool totals != Σ shards:\n got %+v\nwant %+v", doc.Pool, poolSum)
+	}
+	if doc.WAL != walSum {
+		return fmt.Sprintf("wal totals != Σ shards:\n got %+v\nwant %+v", doc.WAL, walSum)
+	}
+	return ""
+}
+
 // TestMetricsTotalsEqualShardSums drives mixed load at a 4-shard server
-// and then checks the exact-correspondence invariant on both export
-// surfaces: every additive counter in Totals equals the sum of that
-// counter over the per-shard blocks, and the HTTP /metrics document
+// and checks the exact-correspondence invariant: every additive counter
+// in Totals equals the sum of that counter over the per-shard blocks.
+// It holds in every snapshot sampled while the load runs, and on both
+// export surfaces once quiesced, where the HTTP /metrics document also
 // agrees with the STATS2 wire document counter for counter.
 func TestMetricsTotalsEqualShardSums(t *testing.T) {
 	s, addr := startServer(t, Config{Shards: 4, Workers: 2})
+
+	// Sample snapshots mid-load: a completion landing while MetricsV2
+	// walks a shard must reach both that shard's block and the totals,
+	// or neither.
+	stop := make(chan struct{})
+	var samples int
+	var sampleErr string
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if msg := totalsMismatch(s.MetricsV2()); msg != "" && sampleErr == "" {
+				sampleErr = msg
+			}
+			samples++
+		}
+	}()
 
 	// Concurrent mixed load on raw connections (no t.Fatal off the test
 	// goroutine); individual op responses don't matter here, only that
@@ -194,6 +237,14 @@ func TestMetricsTotalsEqualShardSums(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	<-sampled
+	if sampleErr != "" {
+		t.Errorf("mid-load snapshot (of %d): %s", samples, sampleErr)
+	}
+	if samples == 0 {
+		t.Error("no snapshot was sampled during the load")
+	}
 
 	// Quiesced: no in-flight requests, so successive snapshots agree.
 	wire, err := DecodeMetricsV2(dial(t, addr).roundTrip(t, "STATS2"))
@@ -211,17 +262,8 @@ func TestMetricsTotalsEqualShardSums(t *testing.T) {
 		if doc.Shards != 4 || len(doc.PerShard) != 4 {
 			t.Fatalf("%s: want 4 shards, got %d (%d blocks)", name, doc.Shards, len(doc.PerShard))
 		}
-		sums, poolSum, walSum := sumShardSeries(doc)
-		for class, total := range doc.Totals {
-			if got, want := stripQuantiles(total), stripQuantiles(sums[class]); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: totals.%s != Σ shards:\n got %+v\nwant %+v", name, class, got, want)
-			}
-		}
-		if !reflect.DeepEqual(doc.Pool, poolSum) {
-			t.Errorf("%s: pool totals != Σ shards:\n got %+v\nwant %+v", name, doc.Pool, poolSum)
-		}
-		if !reflect.DeepEqual(doc.WAL, walSum) {
-			t.Errorf("%s: wal totals != Σ shards:\n got %+v\nwant %+v", name, doc.WAL, walSum)
+		if msg := totalsMismatch(doc); msg != "" {
+			t.Errorf("%s: %s", name, msg)
 		}
 		if doc.Totals["lc"].Completed == 0 {
 			t.Errorf("%s: no completed LC requests recorded under load", name)

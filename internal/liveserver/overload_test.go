@@ -13,6 +13,15 @@ import (
 	"time"
 )
 
+// totalsSum sums one counter over every class of the STATS2 totals.
+func totalsSum(s *Server, f func(ClassSeries) uint64) uint64 {
+	var n uint64
+	for _, c := range s.MetricsV2().Totals {
+		n += f(c)
+	}
+	return n
+}
+
 func TestConnStormSheds(t *testing.T) {
 	// A 10×-capacity connection storm: the two admitted connections
 	// keep working, every connection beyond MaxConns gets exactly one
@@ -53,7 +62,7 @@ func TestConnStormSheds(t *testing.T) {
 			t.Fatalf("held conn PING after storm → %q", got)
 		}
 	}
-	if got := s.Overload.ShedConns; got != storm {
+	if got := s.MetricsV2().ShedConns; got != storm {
 		t.Fatalf("ShedConns = %d, want %d", got, storm)
 	}
 }
@@ -77,7 +86,7 @@ func TestInflightAdmissionSheds(t *testing.T) {
 	if !strings.HasPrefix(<-done, "COMPRESSED") {
 		t.Fatal("admitted compression was disturbed by the shed request")
 	}
-	if got := s.Overload.ShedRequests; got != 1 {
+	if got := totalsSum(s, func(c ClassSeries) uint64 { return c.RejectedNormal + c.RejectedShed }); got != 1 {
 		t.Fatalf("ShedRequests = %d, want 1", got)
 	}
 	// Load has drained: the same request is admitted again.
@@ -113,7 +122,7 @@ func TestRequestTimeoutSheds(t *testing.T) {
 	if got := <-getDone; got != "NOT_FOUND" {
 		t.Fatalf("GET → %q, want NOT_FOUND", got)
 	}
-	if got := s.Overload.Timeouts; got != 1 {
+	if got := totalsSum(s, func(c ClassSeries) uint64 { return c.Timeouts }); got != 1 {
 		t.Fatalf("Timeouts = %d, want 1", got)
 	}
 	if got := pingC.roundTrip(t, "PING"); got != "PONG" {
@@ -150,7 +159,7 @@ func TestLineTooLongClosesConn(t *testing.T) {
 	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("connection still open after protocol violation: %v", err)
 	}
-	if got := s.Overload.LineTooLong; got != 1 {
+	if got := s.MetricsV2().LineTooLong; got != 1 {
 		t.Fatalf("LineTooLong = %d, want 1", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/brownout"
 	"repro/internal/chaos"
 	"repro/internal/shard"
 	"repro/preemptible"
@@ -42,13 +43,14 @@ func addCC(dst *shard.ClassCounters, src shard.ClassCounters) {
 	dst.Unavailable += src.Unavailable
 	dst.ExpiredQueued += src.ExpiredQueued
 	dst.ExpiredExecuting += src.ExpiredExecuting
-	dst.Cancelled += src.Cancelled
+	dst.CancelledQueued += src.CancelledQueued
+	dst.CancelledExecuting += src.CancelledExecuting
 	dst.Reattempts += src.Reattempts
 	dst.Completed += src.Completed
 }
 
-// checkConservation asserts the tentpole counter invariant: every
-// server group-total admission counter equals the sum of the
+// checkConservation asserts the counter invariant: every group-total
+// admission counter in the STATS2 document equals the sum of the
 // corresponding per-shard counter over all shards — exactly, including
 // across shard restarts (shard counters live outside the pools a
 // restart throws away).
@@ -62,37 +64,38 @@ func checkConservation(t *testing.T, s *Server) {
 			addCC(&sum[c], cs[c])
 		}
 	}
-	s.statMu.Lock()
-	ov := s.Overload
-	s.statMu.Unlock()
-	var cancelled uint64
+	totals := s.MetricsV2().Totals
 	for c := range sum {
-		pc := ov.PerClass[c]
+		pc := totals[preemptible.Class(c).String()]
 		sc := sum[c]
+		var rejected [brownout.NumStates]uint64
+		rejected[brownout.Normal] = pc.RejectedNormal
+		rejected[brownout.Brownout] = pc.RejectedBrownout
+		rejected[brownout.Shed] = pc.RejectedShed
 		if pc.Requests != sc.Requests {
-			t.Errorf("class %d requests: server %d != Σshards %d", c, pc.Requests, sc.Requests)
+			t.Errorf("class %d requests: totals %d != Σshards %d", c, pc.Requests, sc.Requests)
 		}
-		if pc.Rejected != sc.Rejected {
-			t.Errorf("class %d rejected: server %v != Σshards %v", c, pc.Rejected, sc.Rejected)
+		if rejected != sc.Rejected {
+			t.Errorf("class %d rejected: totals %v != Σshards %v", c, rejected, sc.Rejected)
 		}
 		if pc.Timeouts != sc.Timeouts || pc.Evicted != sc.Evicted || pc.Failed != sc.Failed {
-			t.Errorf("class %d timeouts/evicted/failed: server %d/%d/%d != Σshards %d/%d/%d",
+			t.Errorf("class %d timeouts/evicted/failed: totals %d/%d/%d != Σshards %d/%d/%d",
 				c, pc.Timeouts, pc.Evicted, pc.Failed, sc.Timeouts, sc.Evicted, sc.Failed)
 		}
 		if pc.Unavailable != sc.Unavailable {
-			t.Errorf("class %d unavailable: server %d != Σshards %d", c, pc.Unavailable, sc.Unavailable)
+			t.Errorf("class %d unavailable: totals %d != Σshards %d", c, pc.Unavailable, sc.Unavailable)
 		}
 		if pc.ExpiredQueued != sc.ExpiredQueued || pc.ExpiredExecuting != sc.ExpiredExecuting {
-			t.Errorf("class %d expired: server %d/%d != Σshards %d/%d",
+			t.Errorf("class %d expired: totals %d/%d != Σshards %d/%d",
 				c, pc.ExpiredQueued, pc.ExpiredExecuting, sc.ExpiredQueued, sc.ExpiredExecuting)
 		}
 		if pc.Reattempts != sc.Reattempts {
-			t.Errorf("class %d reattempts: server %d != Σshards %d", c, pc.Reattempts, sc.Reattempts)
+			t.Errorf("class %d reattempts: totals %d != Σshards %d", c, pc.Reattempts, sc.Reattempts)
 		}
-		cancelled += sc.Cancelled
-	}
-	if got := ov.CancelledQueued + ov.CancelledExecuting; got != cancelled {
-		t.Errorf("cancelled: server %d != Σshards %d", got, cancelled)
+		if want := sc.CancelledQueued + sc.CancelledExecuting; pc.Cancelled != want {
+			t.Errorf("class %d cancelled: totals %d != Σshards %d queued + %d executing",
+				c, pc.Cancelled, sc.CancelledQueued, sc.CancelledExecuting)
+		}
 	}
 }
 
@@ -135,8 +138,12 @@ func TestMGetFanoutAndOrder(t *testing.T) {
 		t.Fatalf("MGET → %q, want %q", got, want)
 	}
 	// Each shard leg counts as one LC request; totals stay conserved.
-	if s.Requests.MGet != 1 {
-		t.Fatalf("MGet counter = %d", s.Requests.MGet)
+	legs := map[int]bool{}
+	for _, k := range []string{"alpha", "nope", "beta", "gamma", "missing"} {
+		legs[s.Group().Route([]byte(k))] = true
+	}
+	if got, want := s.MetricsV2().Totals["lc"].Requests, uint64(3+len(legs)); got != want {
+		t.Fatalf("LC requests = %d, want %d (3 SETs + %d MGET legs)", got, want, len(legs))
 	}
 	checkConservation(t, s)
 }

@@ -232,9 +232,11 @@ type Result struct {
 	BState brownout.State
 }
 
-// ClassCounters is one shard's per-class admission tally. It lives in
-// the Shard, not the pool, so it survives restarts — group totals must
-// equal the sum over shards even after a shard was drained and rebuilt.
+// ClassCounters is one shard's per-class admission tally, and the only
+// copy of it: the server's group totals are derived from these. It
+// lives in the Shard, not the pool, so it survives restarts — group
+// totals equal the sum over shards even after a shard was drained and
+// rebuilt.
 type ClassCounters struct {
 	// Requests counts Do calls for the class that reached the shard.
 	Requests uint64
@@ -253,8 +255,9 @@ type ClassCounters struct {
 	Unavailable uint64
 	// ExpiredQueued/ExpiredExecuting count wire-deadline expiries.
 	ExpiredQueued, ExpiredExecuting uint64
-	// Cancelled counts Gone-cancelled requests (both stages).
-	Cancelled uint64
+	// CancelledQueued/CancelledExecuting count Gone-cancelled requests:
+	// evicted from the queue, or unwound at a safepoint.
+	CancelledQueued, CancelledExecuting uint64
 	// Reattempts counts admitted requests marked attempt ≥ 1.
 	Reattempts uint64
 }
@@ -542,15 +545,6 @@ func (s *Shard) Counters() [preemptible.NumClasses]ClassCounters {
 	return s.counters
 }
 
-// LatencySnapshot summarizes the shard's completed-request latency
-// distribution for class, in microseconds. The distribution accumulates
-// across restarts, exactly like the admission counters.
-func (s *Shard) LatencySnapshot(class preemptible.Class) stats.Snapshot {
-	s.statMu.Lock()
-	defer s.statMu.Unlock()
-	return s.lat[class].Snapshot()
-}
-
 // MergeLatency merges the shard's recorded latency distribution for
 // class into dst (same precision required: both sides use
 // stats.NewHistogram). This is how the metrics plane computes group
@@ -739,10 +733,11 @@ func (s *Shard) Do(class preemptible.Class, task preemptible.Task, opts DoOption
 		if br != nil {
 			br.Abandon(time.Now())
 		}
-		s.countClass(class, func(c *ClassCounters) { c.Cancelled++ })
 		if h.State() == preemptible.TaskCancelledQueued {
+			s.countClass(class, func(c *ClassCounters) { c.CancelledQueued++ })
 			return Result{CancelledQueued, st}
 		}
+		s.countClass(class, func(c *ClassCounters) { c.CancelledExecuting++ })
 		return Result{CancelledExecuting, st}
 	case lat == preemptible.ExpiredLatency:
 		if br != nil {
