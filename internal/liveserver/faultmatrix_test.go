@@ -143,13 +143,24 @@ func TestFaultContainmentRegressionMatrix(t *testing.T) {
 			time.Sleep(500 * time.Microsecond)
 		}
 	}
-	// Replay the schedule until enough BE traffic has flowed to make
-	// the matrix meaningful on slow machines (-race): the injector's
-	// poison schedule stays one deterministic seeded stream across
-	// rounds, and the GE chain's bad sojourns (DropBad=1) guarantee
-	// runs of ≥ FailureThreshold consecutive failures.
+	// Replay the schedule until at least 300 BE requests have flowed
+	// and the storm has been seen to work: the BE breaker tripped and BE
+	// clients got its fast reject. A fixed round or request budget
+	// cannot promise that: the poison stream is indexed by BE request,
+	// its first long bad sojourn starts near request 300, and in the
+	// short runs before it healthy completions interleaved among the
+	// poisoned ones can keep any five failures from landing back to
+	// back. The wall deadline bounds a build whose breaker never trips,
+	// which row 3 reports.
+	be := s.Breaker(preemptible.ClassBE)
+	stormSeen := func() bool {
+		beMu.Lock()
+		defer beMu.Unlock()
+		return be.Trips() > 0 && beResponses["ERR unavailable"] > 0
+	}
+	stormEnd := time.Now().Add(20 * time.Second)
 	var beWG sync.WaitGroup
-	for round := 0; round < 5 && inject.Counters().Requests < 300; round++ {
+	for (inject.Counters().Requests < 300 || !stormSeen()) && time.Now().Before(stormEnd) {
 		for _, w := range windows {
 			if !w.Bad {
 				time.Sleep(w.Duration())
@@ -169,7 +180,6 @@ func TestFaultContainmentRegressionMatrix(t *testing.T) {
 	// Storm over: stop poisoning, keep gentle BE traffic flowing so the
 	// breaker's half-open probes see healthy completions and reclose it.
 	storming.Store(false)
-	be := s.Breaker(preemptible.ClassBE)
 	recover := dial(t, addr)
 	deadline := time.Now().Add(5 * time.Second)
 	for be.State(time.Now()) != breaker.Closed {

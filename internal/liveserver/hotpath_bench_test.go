@@ -1,9 +1,11 @@
 package liveserver
 
 import (
+	"math"
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/preemptible"
 )
@@ -13,23 +15,68 @@ import (
 //
 //	go test -bench BenchmarkHotPath -benchmem ./internal/liveserver/
 //
-// These are the allocs/op baselines the perf-validation harness
-// (internal/perfval) records into BENCH_<n>.json and gates with
-// thresholds — the numbers the planned zero-alloc parser/encoder
-// rewrite must beat. Today the parse path pays strings.Fields and
-// per-token slices; the encode path pays fmt/json. Keep the pair in
-// sync with perfval's hot-path probes.
+// These are the ns/op and allocs/op figures the planned zero-alloc
+// parser/encoder rewrite must beat; TestHotPathAllocCeilings pins the
+// allocs/op exactly, and perfbench (bash perfbench/run.sh --trace 1)
+// measures the same path under open-loop load. Today the parse path
+// pays strings.Fields and per-token slices; the encode path pays
+// fmt/json.
 
-func newBenchServer(b *testing.B, shards int) *Server {
-	b.Helper()
+func newBenchServer(tb testing.TB, shards int) *Server {
+	tb.Helper()
 	rt, err := preemptible.New(preemptible.Config{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(rt.Close)
+	tb.Cleanup(rt.Close)
 	s := New(rt, Config{Shards: shards})
-	b.Cleanup(s.Close)
+	tb.Cleanup(s.Close)
 	return s
+}
+
+// TestHotPathAllocCeilings holds each hot-path call to its exact
+// allocs/op today, so any added allocation fails here. Lower a ceiling
+// when a change removes allocations; never raise one to make a change
+// pass. Each request runs on a fresh task goroutine. When the scheduler
+// leaves finished task goroutines queued instead of letting them exit,
+// every later request pays for a new goroutine and channel waiter
+// (+2 allocs/op) until they drain, and the process-wide malloc counter
+// also sees the server's background loops. So each window starts after
+// a sleep that lets the queued goroutines exit, and the least of three
+// windows is the request path's own count, which a real per-op
+// allocation raises in every window.
+func TestHotPathAllocCeilings(t *testing.T) {
+	s := newBenchServer(t, 1)
+	handle := func(line, want string) func() {
+		return func() {
+			if resp := s.HandleLine(line); resp != want {
+				t.Fatalf("%s: %q, want %q", line, resp, want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"ParseLine", 1, func() {
+			if _, errLine := ParseLine("SET key-123 value-payload D1754600000000000 A1"); errLine != "" {
+				t.Fatal(errLine)
+			}
+		}},
+		{"SET", 15, handle("SET bench-key bench-value", "OK")},
+		{"GET", 17, handle("GET bench-key", "VALUE bench-value")},
+	} {
+		tc.run() // warm-up: the GET row reads the SET row's key
+		got := math.Inf(1)
+		for i := 0; i < 3; i++ {
+			time.Sleep(time.Millisecond)
+			got = min(got, testing.AllocsPerRun(200, tc.run))
+		}
+		if got > tc.max {
+			t.Errorf("%s: %v allocs/op, ceiling %v", tc.name, got, tc.max)
+		}
+	}
 }
 
 func BenchmarkHotPathParseLine(b *testing.B) {

@@ -628,15 +628,16 @@ func (r *idleReader) Read(p []byte) (int, error) {
 // HandleLine processes one protocol line exactly as a connection
 // handler would — parse, route, schedule, encode — with no disconnect
 // tracking, and returns the response line. It is the in-process entry
-// the perf-validation harness (internal/perfval) and the hot-path
-// benchmarks use to drive the full request path without TCP.
+// perfbench's traced run and the hot-path benchmarks use to drive the
+// full request path without TCP.
 func (s *Server) HandleLine(line string) string { return s.handleRequest(line, nil) }
 
 // ParseLine exercises the request-parse hot path alone: field split
 // plus metadata-token stripping, no routing or scheduling. It returns
 // the remaining fields and the protocol error line ("" when valid).
-// Exported so the perf-validation harness can benchmark and gate the
-// parser's allocs/op — the baseline the zero-alloc rewrite must beat.
+// Exported so perfbench's traced run and the hot-path benchmarks can
+// time the parser and count its allocs/op — the baseline the zero-alloc
+// rewrite must beat.
 func ParseLine(line string) (fields []string, errLine string) {
 	fields, _, errLine = parseMeta(strings.Fields(line))
 	return fields, errLine

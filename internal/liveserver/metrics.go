@@ -3,8 +3,8 @@
 // One schema-versioned JSON document carries every series the server
 // exports — per-class admission counters, latency quantiles, pool
 // scheduling and WAL counters — both as group totals and per shard, so
-// a dashboard (or the perf-validation harness in internal/perfval) can
-// watch a live soak and gate on exactly the numbers the server exports.
+// a dashboard, the soak's conservation checker or perfbench's traced run
+// reads exactly the numbers the server exports.
 //
 // There is one counter plane. Every admission counter has a single
 // source, the shard's shard.ClassCounters; the server keeps no copy.
